@@ -42,18 +42,21 @@ bench:
 
 # The fast micro-benchmarks only (seconds, not the multi-minute figure
 # benchmarks): the hot-path kernels the performance work targets.
-BENCH_MICRO = Simulate576|^BenchmarkJacobian$$|LevenbergMarquardt|GlobalFitSequence|^BenchmarkForecast$$|MDLCost|RMSE576|^BenchmarkStreamAppend$$
+BENCH_MICRO = Simulate576|^BenchmarkJacobian$$|LevenbergMarquardt|GlobalFitSequence|^BenchmarkForecast$$|MDLCost|RMSE576|^BenchmarkStreamAppend$$|^BenchmarkStreamAppendPersisted$$
 bench-micro:
 	$(GO) test -bench='$(BENCH_MICRO)' -benchmem -run XXX .
 
 # Benchmark trajectory: run the micro-benchmarks and convert the output to
-# the committed BENCH_*.json format (see README, "Benchmark trajectory").
+# the BENCH_*.json format (see README, "Benchmark trajectory"). BENCH_JSON
+# names the new file and has no default; an existing file is never
+# overwritten — every recorded trajectory gets a new name.
 # Point BENCH_BEFORE at a previously captured `go test -bench` text file to
 # record a proper before/after pair; without it the fresh run fills both
 # sides (a flat baseline for the next PR to diff against).
-BENCH_JSON ?= BENCH_10.json
 BENCH_AFTER_TXT ?= /tmp/dspot-bench-after.txt
 bench-json:
+	@test -n "$(BENCH_JSON)" || { echo "bench-json: set BENCH_JSON=BENCH_<n>.json (a new file)" >&2; exit 1; }
+	@test ! -e "$(BENCH_JSON)" || { echo "bench-json: $(BENCH_JSON) exists; refusing to overwrite it" >&2; exit 1; }
 	$(GO) test -bench='$(BENCH_MICRO)' -benchmem -run XXX . | tee $(BENCH_AFTER_TXT)
 	$(GO) run ./cmd/benchjson -before $(if $(BENCH_BEFORE),$(BENCH_BEFORE),$(BENCH_AFTER_TXT)) \
 		-after $(BENCH_AFTER_TXT) -out $(BENCH_JSON)
@@ -67,6 +70,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadModel -fuzztime=30s ./internal/dataset/
 	$(GO) test -fuzz=FuzzDecodeManifest -fuzztime=30s ./internal/registry/
 	$(GO) test -fuzz=FuzzRestoreState -fuzztime=30s -fuzzminimizetime=5s ./internal/registry/
+	$(GO) test -fuzz=FuzzDecodeJournal -fuzztime=30s ./internal/registry/
 	$(GO) test -fuzz=FuzzFitSequence -fuzztime=30s -fuzzminimizetime=5s ./internal/core/
 	$(GO) test -fuzz=FuzzJacobianConsistency -fuzztime=30s ./internal/core/
 

@@ -11,6 +11,8 @@ package dspot
 // capability matrix) is qualitative and documented in README.md instead.
 
 import (
+	"context"
+	"fmt"
 	"sort"
 	"sync"
 	"testing"
@@ -18,7 +20,9 @@ import (
 
 	"dspot/internal/core"
 	"dspot/internal/experiments"
+	"dspot/internal/faultfs"
 	"dspot/internal/lm"
+	"dspot/internal/registry"
 	"dspot/internal/stats"
 )
 
@@ -526,5 +530,44 @@ func BenchmarkStreamAppendBatch(b *testing.B) {
 		if _, err := s.Append(series[n]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// denyRefits is a RefitGate that never admits a refit.
+type denyRefits struct{}
+
+func (denyRefits) TryAcquire() (func(), bool) { return nil, false }
+
+// BenchmarkStreamAppendPersisted measures one single-tick registry append
+// with a data dir, at stream lengths 100 and 1000: the persistence layer's
+// share of an HTTP append. A gate that never admits a refit keeps every
+// append on the persistence path (each one is a deferred refit), and a
+// retention horizon of n keeps the stream at about n ticks however many
+// appends run. disk-B/op is the bytes written per append, compactions
+// included.
+func BenchmarkStreamAppendPersisted(b *testing.B) {
+	for _, n := range []int{100, 1000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			in := faultfs.NewInjector(nil)
+			r, err := registry.Open(registry.Options{DataDir: b.TempDir(), FS: in,
+				RefitGate: denyRefits{}, StreamRetention: n})
+			if err != nil {
+				b.Fatal(err)
+			}
+			series := benchStreamSeries(n + 1)
+			ctx := context.Background()
+			if _, err := r.AppendStream(ctx, "s", series[:n], registry.AppendOptions{}); err != nil {
+				b.Fatal(err)
+			}
+			in.Reset()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.AppendStream(ctx, "s", series[n:], registry.AppendOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(in.Written())/float64(b.N), "disk-B/op")
+		})
 	}
 }

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	benchjson -before before.txt[,more.txt] -after after.txt[,more.txt] -out BENCH_5.json
+//	benchjson -before before.txt[,more.txt] -after after.txt[,more.txt] -out BENCH_<n>.json
 //
 // Each input file is raw `go test -bench` output. Standard metrics
 // (ns/op, B/op, allocs/op) and custom b.ReportMetric units (nrmse,

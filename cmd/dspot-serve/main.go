@@ -29,9 +29,9 @@
 //
 // plus the stateful layer (see internal/service/stateful.go): async fit jobs
 // under /v1/jobs, stored models under /v1/models, and incremental streams
-// under /v1/streams. With -data-dir the registry persists models and stream
-// snapshots there and reloads them on boot, so stored state survives a
-// restart; without it state is memory-only.
+// under /v1/streams. With -data-dir the registry persists models, stream
+// snapshots and stream append journals there and reloads them on boot, so
+// stored state survives a restart; without it state is memory-only.
 //
 // Every request is logged as a structured line (key=value, or JSON with
 // -log-json) and counted in the /metrics registry; fits additionally record

@@ -1,10 +1,10 @@
 // Package faultfs abstracts the filesystem operations the registry's
 // persistence layer performs, so tests can inject faults — a write that
 // fails halfway, a rename that never happens, a disk that fills up — at any
-// chosen point in the write-temp-fsync-rename protocol. Durability claims
-// ("after any crash the registry reloads to a consistent manifest") are
-// only as good as the fault schedule they survived; this package is that
-// schedule.
+// chosen point in the write-temp-fsync-rename protocol or in an append to a
+// stream journal. Durability claims ("after any crash the registry reloads
+// to a consistent manifest") are only as good as the fault schedule they
+// survived; this package is that schedule.
 //
 // Production code uses OS, a thin passthrough to the os package plus the
 // directory-fsync that os.Rename alone does not provide. Chaos tests wrap
@@ -24,6 +24,7 @@ import (
 // FS/File method; OpAny matches every operation.
 const (
 	OpCreate  = "create"  // FS.CreateTemp
+	OpAppend  = "append"  // FS.OpenAppend
 	OpWrite   = "write"   // File.Write
 	OpSync    = "sync"    // File.Sync
 	OpClose   = "close"   // File.Close
@@ -46,9 +47,10 @@ var ErrInjected = errors.New("faultfs: injected fault")
 // syscall.ENOSPC so production code that special-cases ENOSPC sees it).
 var ErrNoSpace = fmt.Errorf("%w: %w", ErrInjected, syscall.ENOSPC)
 
-// File is the writable handle returned by CreateTemp. Sync is part of the
-// interface because durability of a rename-based protocol depends on the
-// data hitting the platter before the rename publishes it.
+// File is the writable handle returned by CreateTemp and OpenAppend. Sync
+// is part of the interface because durability of a rename-based protocol
+// depends on the data hitting the platter before the rename publishes it,
+// and an append is only acknowledged once it has been synced.
 type File interface {
 	Write(p []byte) (int, error)
 	Sync() error
@@ -59,6 +61,9 @@ type File interface {
 // FS is the slice of filesystem the registry needs.
 type FS interface {
 	CreateTemp(dir, pattern string) (File, error)
+	// OpenAppend opens name for writing at its end, creating it when
+	// absent. Every Write lands after the current end of the file.
+	OpenAppend(name string) (File, error)
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
 	ReadFile(name string) ([]byte, error)
@@ -80,13 +85,21 @@ func (OS) CreateTemp(dir, pattern string) (File, error) {
 	return f, nil
 }
 
+func (OS) OpenAppend(name string) (File, error) {
+	f, err := os.OpenFile(name, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
 func (OS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
 func (OS) Remove(name string) error             { return os.Remove(name) }
 func (OS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
 func (OS) ReadDir(name string) ([]fs.DirEntry, error) {
 	return os.ReadDir(name)
 }
-func (OS) Stat(name string) (fs.FileInfo, error)      { return os.Stat(name) }
+func (OS) Stat(name string) (fs.FileInfo, error)        { return os.Stat(name) }
 func (OS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(path, perm) }
 
 func (OS) SyncDir(dir string) error {
@@ -115,13 +128,15 @@ type rule struct {
 }
 
 // Injector wraps an FS and fails chosen operations on schedule. Safe for
-// concurrent use. Zero rules = transparent passthrough (with counting).
+// concurrent use. Zero rules = transparent passthrough (with counting of
+// operations and of bytes written).
 type Injector struct {
 	inner FS
 
-	mu     sync.Mutex
-	counts map[string]int
-	rules  []*rule
+	mu      sync.Mutex
+	counts  map[string]int
+	rules   []*rule
+	written int64
 }
 
 // NewInjector wraps inner (nil selects OS{}).
@@ -164,11 +179,20 @@ func (in *Injector) Count(op string) int {
 	return in.counts[op]
 }
 
+// Written reports how many bytes have reached the inner FS through File
+// writes (a short write counts the half that landed).
+func (in *Injector) Written() int64 {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.written
+}
+
 // Reset drops all pending rules and zeroes the counters.
 func (in *Injector) Reset() {
 	in.mu.Lock()
 	in.rules = nil
 	in.counts = make(map[string]int)
+	in.written = 0
 	in.mu.Unlock()
 }
 
@@ -205,6 +229,17 @@ func (in *Injector) CreateTemp(dir, pattern string) (File, error) {
 		return nil, err
 	}
 	f, err := in.inner.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return &injFile{inner: f, in: in}, nil
+}
+
+func (in *Injector) OpenAppend(name string) (File, error) {
+	if err, _ := in.check(OpAppend); err != nil {
+		return nil, err
+	}
+	f, err := in.inner.OpenAppend(name)
 	if err != nil {
 		return nil, err
 	}
@@ -271,6 +306,7 @@ func (f *injFile) Write(p []byte) (int, error) {
 	if err != nil {
 		if short && len(p) > 0 {
 			n, werr := f.inner.Write(p[:len(p)/2])
+			f.in.addWritten(n)
 			if werr != nil {
 				return n, werr
 			}
@@ -278,7 +314,15 @@ func (f *injFile) Write(p []byte) (int, error) {
 		}
 		return 0, err
 	}
-	return f.inner.Write(p)
+	n, werr := f.inner.Write(p)
+	f.in.addWritten(n)
+	return n, werr
+}
+
+func (in *Injector) addWritten(n int) {
+	in.mu.Lock()
+	in.written += int64(n)
+	in.mu.Unlock()
 }
 
 func (f *injFile) Sync() error {

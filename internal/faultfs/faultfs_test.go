@@ -150,3 +150,57 @@ func TestInjectorConcurrentSchedulesDoNotDrift(t *testing.T) {
 		t.Fatalf("read 4 should pass (both rules consumed): %v", err)
 	}
 }
+
+// TestOpenAppendAndWritten covers the journal op: OpenAppend creates the
+// file, each open writes after the current end, a fault is schedulable on
+// the open itself, and Written counts only the bytes that reached the
+// inner FS (half of a short write).
+func TestOpenAppendAndWritten(t *testing.T) {
+	name := filepath.Join(t.TempDir(), "j")
+	in := NewInjector(nil)
+	for _, chunk := range []string{"ab", "cd"} {
+		f, err := in.OpenAppend(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte(chunk)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if data, err := os.ReadFile(name); err != nil || string(data) != "abcd" {
+		t.Fatalf("appended content = %q, %v", data, err)
+	}
+	if in.Count(OpAppend) != 2 || in.Written() != 4 {
+		t.Fatalf("Count(append) = %d, Written = %d; want 2, 4", in.Count(OpAppend), in.Written())
+	}
+
+	in.FailNth(OpAppend, 1, nil)
+	if _, err := in.OpenAppend(name); !errors.Is(err, ErrInjected) {
+		t.Fatalf("faulted OpenAppend = %v, want ErrInjected", err)
+	}
+	in.ShortWriteNth(1)
+	f, err := in.OpenAppend(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("efgh")); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("short append = %v, want ErrNoSpace", err)
+	}
+	f.Close()
+	if data, _ := os.ReadFile(name); string(data) != "abcdef" {
+		t.Fatalf("torn append left %q, want abcdef", data)
+	}
+	if in.Written() != 6 {
+		t.Fatalf("Written after short write = %d, want 6", in.Written())
+	}
+	in.Reset()
+	if in.Written() != 0 {
+		t.Fatalf("Written after Reset = %d", in.Written())
+	}
+}

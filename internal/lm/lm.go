@@ -285,16 +285,14 @@ func fitCore(f ResidualIntoFunc, p0 []float64, opts Options) (Result, error) {
 			}
 		}
 
-		// Normal equations: (JᵀJ + λ·diag(JᵀJ))·δ = Jᵀr, accumulated as one
-		// row-wise sweep of rank-1 updates. A cell-at-a-time dot product
-		// walks the whole m×dim Jacobian once per cell pair with stride dim
-		// (the m·dim²/2 loads all miss L1 once the Jacobian outgrows it);
-		// the row-wise sweep streams the Jacobian exactly once while jtj —
-		// dim² floats — stays cache-resident. Each cell still receives its
-		// terms in ascending-i order, so the sums are bit-identical to the
-		// dot-product form. Rows with a NaN residual carry all-zero Jacobian
-		// entries (set during the fill above), and adding +0 terms never
-		// changes a running sum, so only Jᵀr needs the explicit NaN guard.
+		// Normal equations: (JᵀJ + λ·diag(JᵀJ))·δ = Jᵀr, assembled one cell
+		// at a time: Jᵀr[a] and each upper-triangle cell JᵀJ[a][b] are
+		// register-accumulated dot products down columns a and b of the
+		// row-major m×dim Jacobian (stride dim), summed in ascending-i order;
+		// the lower triangle is then mirrored. Rows with a NaN residual carry
+		// all-zero Jacobian entries (set during the fill above), and adding
+		// +0 terms never changes a running sum, so only Jᵀr needs the
+		// explicit NaN guard.
 		for a := 0; a < dim; a++ {
 			sr := 0.0
 			for i, ia := 0, a; i < m; i, ia = i+1, ia+dim {

@@ -13,7 +13,8 @@
 // manifest indexing all models), so a restarted server reopens the
 // directory and serves the same models; evicted models reload from disk on
 // demand. Streams wrap core.Stream: clients append ticks and the registry
-// refits incrementally, snapshotting the stream state after every append.
+// refits incrementally, journaling every append (one fsynced record) and
+// rewriting the stream's snapshot only on compaction (journal.go).
 //
 // Concurrency contract: engine.Model values returned by Get are shared and
 // must be treated as read-only (every Model method used for serving is).
@@ -165,8 +166,9 @@ func ValidateID(id string) error {
 // Open builds a registry. With a DataDir it creates the layout
 // (models/, streams/, manifest.json), reads the manifest, and registers
 // every surviving model unloaded — load-on-boot means the index is restored
-// immediately while model JSON loads lazily on first Get. Stream snapshots
-// are restored eagerly (they must accept appends at once).
+// immediately while model JSON loads lazily on first Get. Streams are
+// restored eagerly, snapshot plus journal replay (they must accept appends
+// at once).
 func Open(opts Options) (*Registry, error) {
 	if opts.MaxLoaded <= 0 {
 		opts.MaxLoaded = DefaultMaxLoaded

@@ -28,6 +28,16 @@ type stream struct {
 	mu     sync.Mutex
 	s      *core.Stream
 	refits int
+
+	// Persistence ledger (data dir only). seq is the last journal sequence
+	// number handed out; snapBytes is the size of the snapshot on disk (0 =
+	// none yet) and jrnBytes the size of the journal appended since it.
+	// dirty records a mutation that did not reach disk: the next append
+	// compacts instead of journaling.
+	seq       uint64
+	snapBytes int64
+	jrnBytes  int64
+	dirty     bool
 }
 
 // StreamStatus is the client-visible state of a stream, including the
@@ -103,6 +113,10 @@ type streamJSON struct {
 	Dropped   int64 `json:"dropped_ticks,omitempty"`
 	GapFilled int64 `json:"gap_ticks,omitempty"`
 	Deferred  int64 `json:"deferred_refits,omitempty"`
+
+	// JournalSeq is the last journal record the snapshot subsumes; replay
+	// starts after it. Snapshots written before the journal decode as 0.
+	JournalSeq uint64 `json:"journal_seq,omitempty"`
 }
 
 func (r *Registry) streamPath(id string) string {
@@ -117,8 +131,10 @@ func (r *Registry) streamPath(id string) string {
 // triggers — runs outside the registry lock and under ctx (nil = never
 // cancelled): a cancelled or timed-out refit stops cooperatively, keeps the
 // stream's last good fit, and is retried per the stream's backoff schedule.
-// With a data dir the post-append state is snapshotted atomically so a
-// restart resumes the stream mid-series.
+// With a data dir the append is durable before it is acknowledged: either
+// one fsynced journal record, or — when a refit was attempted, an option
+// changed, or the journal has outgrown the snapshot — a compaction (see
+// persistAppend), so a restart resumes the stream mid-series.
 func (r *Registry) AppendStream(ctx context.Context, id string, values []float64, opts AppendOptions) (status StreamStatus, err error) {
 	start := time.Now()
 	refitted := false
@@ -146,30 +162,25 @@ func (r *Registry) AppendStream(ctx context.Context, id string, values []float64
 	if !ok {
 		return StreamStatus{}, fmt.Errorf("%w: unknown stream mode %q", ErrBadRequest, opts.Mode)
 	}
+	if err := numcheck.Sequence("stream append", values); err != nil {
+		return StreamStatus{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
 	st := r.getOrCreateStream(id, opts)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if opts.RefitEvery > 0 {
-		st.s.SetRefitEvery(opts.RefitEvery)
-	}
-	if opts.Mode != "" {
-		st.s.SetMode(mode)
-	}
-	if opts.Retention > 0 {
-		st.s.SetRetention(opts.Retention)
-	}
+	changed := st.configure(opts, mode)
 	at := int64(-1)
 	if opts.AtSet {
 		at = opts.At
 	}
 	rec, err := st.s.AppendAtCtx(ctx, at, values...)
-	if err != nil {
-		if errors.Is(err, core.ErrGapTooLarge) {
-			r.opts.Metrics.streamRejected("gap_too_large", len(values))
-			return StreamStatus{}, fmt.Errorf("%w: stream %q: %v", ErrBadRequest, id, err)
-		}
-		return StreamStatus{}, fmt.Errorf("registry: stream %q: %w", id, err)
+	if errors.Is(err, core.ErrGapTooLarge) {
+		// Nothing was ingested, but an option change may have been applied.
+		st.dirty = st.dirty || changed
+		r.opts.Metrics.streamRejected("gap_too_large", len(values))
+		return StreamStatus{}, fmt.Errorf("%w: stream %q: %v", ErrBadRequest, id, err)
 	}
+	// Any other error is a failed or cancelled refit: the ticks are kept.
 	refitted = rec.Refitted
 	r.opts.Metrics.streamRejected("duplicate", rec.DroppedTicks)
 	r.opts.Metrics.streamGapFilled(rec.GapTicks)
@@ -183,14 +194,57 @@ func (r *Registry) AppendStream(ctx context.Context, id string, values []float64
 	}
 	status = st.statusLocked()
 	status.Refitted = refitted
+	var perr error
 	if r.dir != "" {
-		if perr := r.saveStream(st); perr != nil {
+		compact := changed || refitted || err != nil
+		perr = r.persistAppend(st, compact, at, values, rec.Deferred)
+		if perr != nil {
 			r.opts.Metrics.persistError()
 			r.logger().Error("registry: persisting stream", "id", id, "err", perr)
-			return status, fmt.Errorf("registry: persisting stream %q: %w", id, perr)
+			perr = fmt.Errorf("registry: persisting stream %q: %w", id, perr)
 		}
 	}
-	return status, nil
+	if err != nil {
+		return StreamStatus{}, errors.Join(fmt.Errorf("registry: stream %q: %w", id, err), perr)
+	}
+	return status, perr
+}
+
+// configure applies the per-append options, reporting whether any of them
+// actually changed the stream (such an append must compact: journal
+// records carry ticks, not configuration).
+func (st *stream) configure(opts AppendOptions, mode core.RefitMode) bool {
+	every, m, ret := st.s.RefitEvery(), st.s.Mode(), st.s.Retention()
+	if opts.RefitEvery > 0 {
+		st.s.SetRefitEvery(opts.RefitEvery)
+	}
+	if opts.Mode != "" {
+		st.s.SetMode(mode)
+	}
+	if opts.Retention > 0 {
+		st.s.SetRetention(opts.Retention)
+	}
+	return every != st.s.RefitEvery() || m != st.s.Mode() || ret != st.s.Retention()
+}
+
+// persistAppend makes one append durable (st.mu held). It journals the
+// append — one record, one fsync — unless the stream must compact: when
+// compact is set (a refit was attempted or an option changed), when an
+// earlier mutation did not reach disk, when the append is too large for a
+// record, or when the journal would outgrow the snapshot (which also
+// covers a stream with no snapshot yet). A failure leaves the stream
+// dirty, so the next append compacts.
+func (r *Registry) persistAppend(st *stream, compact bool, at int64, values []float64, deferred bool) error {
+	if !compact && !st.dirty && len(values) <= maxJournalTick &&
+		st.jrnBytes+journalRecordSize(len(values)) <= st.snapBytes {
+		st.seq++
+		if err := r.appendJournal(st, encodeJournalRecord(st.seq, at, values, deferred)); err != nil {
+			st.dirty = true
+			return err
+		}
+		return nil
+	}
+	return r.compactStream(st)
 }
 
 // RefitStream forces a full consolidating refit of the named stream now,
@@ -205,22 +259,28 @@ func (r *Registry) RefitStream(ctx context.Context, id string) (StreamStatus, er
 	defer span.End()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if err := st.s.RefitNow(ctx); err != nil {
-		span.SetAttr("err", err.Error())
-		return StreamStatus{}, fmt.Errorf("registry: stream %q: %w", id, err)
+	err = st.s.RefitNow(ctx)
+	if err == nil {
+		st.refits++
+		r.opts.Metrics.streamRefit()
+		r.opts.Metrics.streamAppend("full", time.Since(start))
 	}
-	st.refits++
-	r.opts.Metrics.streamRefit()
-	r.opts.Metrics.streamAppend("full", time.Since(start))
-	status := st.statusLocked()
-	status.Refitted = true
+	var perr error
 	if r.dir != "" {
-		if perr := r.saveStream(st); perr != nil {
+		// Compact even when the refit failed: a failure moves the retry
+		// backoff, and the next journal replay must start from it.
+		if perr = r.compactStream(st); perr != nil {
 			r.opts.Metrics.persistError()
-			return status, fmt.Errorf("registry: persisting stream %q: %w", id, perr)
+			perr = fmt.Errorf("registry: persisting stream %q: %w", id, perr)
 		}
 	}
-	return status, nil
+	if err != nil {
+		span.SetAttr("err", err.Error())
+		return StreamStatus{}, errors.Join(fmt.Errorf("registry: stream %q: %w", id, err), perr)
+	}
+	status := st.statusLocked()
+	status.Refitted = true
+	return status, perr
 }
 
 // statusLocked builds the client-visible status (st.mu held by the caller).
@@ -314,8 +374,13 @@ func (r *Registry) DeleteStream(id string) error {
 		return fmt.Errorf("%w: stream %q", ErrNotFound, id)
 	}
 	if r.dir != "" {
-		if err := r.fs.Remove(r.streamPath(id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return fmt.Errorf("registry: removing stream %q: %w", id, err)
+		// Journal first: a crash in between leaves a snapshot that boots
+		// as the stream's last compacted state, never a journal without
+		// the snapshot it extends.
+		for _, path := range []string{r.journalPath(id), r.streamPath(id)} {
+			if err := r.fs.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+				return fmt.Errorf("registry: removing stream %q: %w", id, err)
+			}
 		}
 	}
 	return nil
@@ -349,8 +414,31 @@ func (r *Registry) lookupStream(id string) (*stream, error) {
 	return st, nil
 }
 
-// saveStream snapshots one stream atomically (st.mu held by the caller).
-func (r *Registry) saveStream(st *stream) error {
+// compactStream writes the stream's snapshot atomically and then removes
+// its journal, which the snapshot now subsumes (st.mu held). Until the
+// removal succeeds the stream stays dirty, so nothing is ever appended to a
+// journal holding records the snapshot already covers: a crash in between
+// leaves stale records that replay skips by their sequence numbers.
+func (r *Registry) compactStream(st *stream) error {
+	st.dirty = true
+	data, err := encodeSnapshot(st)
+	if err != nil {
+		return err
+	}
+	if err := writeFileAtomic(r.fs, r.streamPath(st.id), data); err != nil {
+		return err
+	}
+	st.snapBytes = int64(len(data))
+	if err := r.fs.Remove(r.journalPath(st.id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	st.jrnBytes = 0
+	st.dirty = false
+	return nil
+}
+
+// encodeSnapshot renders the stream's snapshot JSON (st.mu held).
+func encodeSnapshot(st *stream) ([]byte, error) {
 	state := st.s.State()
 	sj := streamJSON{
 		RefitEvery: state.RefitEvery,
@@ -370,6 +458,7 @@ func (r *Registry) saveStream(st *stream) error {
 		Dropped:    state.Dropped,
 		GapFilled:  state.GapFilled,
 		Deferred:   state.Deferred,
+		JournalSeq: st.seq,
 	}
 	if state.Mode != core.RefitBatch {
 		sj.Mode = state.Mode.String()
@@ -385,26 +474,36 @@ func (r *Registry) saveStream(st *stream) error {
 		res := state.Result
 		sj.Result = &res
 	}
-	data, err := json.Marshal(sj)
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(r.fs, r.streamPath(st.id), data)
+	return json.Marshal(sj)
 }
 
-// decodeStreamState parses and validates one persisted snapshot. It is the
+// decodeStreamState parses and validates one persisted snapshot, returning
+// the state and the refit counter (see decodeSnapshot).
+func decodeStreamState(data []byte) (core.StreamState, int, error) {
+	snap, err := decodeSnapshot(data)
+	return snap.state, snap.refits, err
+}
+
+// snapshot is one decoded streams/<id>.json.
+type snapshot struct {
+	state      core.StreamState
+	refits     int
+	journalSeq uint64
+}
+
+// decodeSnapshot parses and validates one persisted snapshot. It is the
 // trust boundary for stream files (fuzzed by FuzzRestoreState): the decoded
 // sequence must contain no Inf or negative counts (NaN is the missing
 // sentinel and fine), and a fitted snapshot must materialise a model that
 // passes the same validation Put applies.
-func decodeStreamState(data []byte) (core.StreamState, int, error) {
+func decodeSnapshot(data []byte) (snapshot, error) {
 	var sj streamJSON
 	if err := json.Unmarshal(data, &sj); err != nil {
-		return core.StreamState{}, 0, err
+		return snapshot{}, err
 	}
 	mode, ok := core.ParseRefitMode(sj.Mode)
 	if !ok {
-		return core.StreamState{}, 0, fmt.Errorf("unknown stream mode %q", sj.Mode)
+		return snapshot{}, fmt.Errorf("unknown stream mode %q", sj.Mode)
 	}
 	state := core.StreamState{
 		RefitEvery: sj.RefitEvery,
@@ -432,35 +531,46 @@ func decodeStreamState(data []byte) (core.StreamState, int, error) {
 		state.Future = nil
 	}
 	if err := numcheck.Sequence("stream snapshot", state.Seq); err != nil {
-		return core.StreamState{}, 0, err
+		return snapshot{}, err
 	}
 	if sj.Result != nil {
 		state.Result = *sj.Result
 	}
 	if state.Fitted {
 		if err := validateStreamState(&state); err != nil {
-			return core.StreamState{}, 0, err
+			return snapshot{}, err
 		}
 	}
-	return state, sj.Refits, nil
+	return snapshot{state: state, refits: sj.Refits, journalSeq: sj.JournalSeq}, nil
 }
 
-// loadStreams restores every snapshot under streams/. A corrupt or invalid
-// snapshot is quarantined as <file>.corrupt and skipped — one bad stream
-// must not block the boot, but leaving the bad file in place would re-fail
-// (and previously silently re-skip) on every restart.
+// loadStreams restores every stream under streams/: its snapshot, then its
+// journal replayed on top (restoreStream). A corrupt or invalid snapshot
+// is quarantined as <file>.corrupt and skipped — one bad stream must not
+// block the boot, but leaving the bad file in place would re-fail (and
+// previously silently re-skip) on every restart. A journal whose snapshot
+// did not load cannot be replayed and is quarantined with it.
 func (r *Registry) loadStreams() error {
-	entries, err := r.fs.ReadDir(filepath.Join(r.dir, streamsDir))
+	dir := filepath.Join(r.dir, streamsDir)
+	entries, err := r.fs.ReadDir(dir)
 	if err != nil {
 		return fmt.Errorf("registry: scanning streams: %w", err)
 	}
+	var journals []string
 	for _, de := range entries {
 		name := de.Name()
-		if de.IsDir() || !strings.HasSuffix(name, ".json") {
+		if de.IsDir() {
+			continue
+		}
+		if strings.HasSuffix(name, ".journal") {
+			journals = append(journals, strings.TrimSuffix(name, ".journal"))
+			continue
+		}
+		if !strings.HasSuffix(name, ".json") {
 			continue
 		}
 		id := strings.TrimSuffix(name, ".json")
-		path := filepath.Join(r.dir, streamsDir, name)
+		path := filepath.Join(dir, name)
 		if err := ValidateID(id); err != nil {
 			r.quarantine(path, "stream", id, err)
 			continue
@@ -469,17 +579,72 @@ func (r *Registry) loadStreams() error {
 		if err != nil {
 			return fmt.Errorf("registry: reading stream %q: %w", id, err)
 		}
-		state, refits, err := decodeStreamState(data)
+		snap, err := decodeSnapshot(data)
 		if err != nil {
 			r.quarantine(path, "stream", id, err)
 			continue
 		}
-		s := core.RestoreStream(r.opts.StreamFit, state)
-		r.configureStream(id, s)
-		r.streams[id] = &stream{id: id, s: s, refits: refits}
+		st, err := r.restoreStream(id, snap, int64(len(data)))
+		if err != nil {
+			return err
+		}
+		r.streams[id] = st
+	}
+	for _, id := range journals {
+		if _, ok := r.streams[id]; !ok {
+			r.quarantine(r.journalPath(id), "stream journal", id, errors.New("no snapshot to replay onto"))
+		}
 	}
 	r.opts.Metrics.setStreams(len(r.streams))
 	return nil
+}
+
+// restoreStream rebuilds one stream from its snapshot and journal. The
+// journal replays through AppendAtCtx under denyGate, which makes the
+// replay exact: no journaled append ran a refit, and a gate that always
+// denies reproduces the recorded deferrals. A torn tail (an append that was
+// never acknowledged) is dropped; a corrupt record quarantines the journal
+// as .corrupt after the records before it have been replayed. Either way,
+// and when the journal holds records the snapshot already subsumes, the
+// stream is compacted, so no later append lands behind a bad tail.
+func (r *Registry) restoreStream(id string, snap snapshot, snapBytes int64) (*stream, error) {
+	s := core.RestoreStream(r.opts.StreamFit, snap.state)
+	st := &stream{id: id, s: s, refits: snap.refits, seq: snap.journalSeq, snapBytes: snapBytes}
+	path := r.journalPath(id)
+	data, err := r.fs.ReadFile(path)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("registry: reading stream journal %q: %w", id, err)
+	}
+	sc, derr := decodeJournal(data, st.seq)
+	s.SetRefitJitter(jitterFor(id))
+	s.SetRefitGate(denyGate{})
+	for _, rec := range sc.recs {
+		got, err := s.AppendAtCtx(context.Background(), rec.at, rec.values...)
+		if err != nil {
+			derr = fmt.Errorf("journal record %d: %w", rec.seq, err)
+			break
+		}
+		// The record is in the state now, diverged or not.
+		st.seq = rec.seq
+		if got.Deferred != rec.deferred {
+			derr = fmt.Errorf("journal record %d: replay does not reproduce the recorded append", rec.seq)
+			break
+		}
+	}
+	retention := s.Retention()
+	r.configureStream(id, s)
+	st.jrnBytes = int64(len(data))
+	if derr != nil {
+		r.quarantine(path, "stream journal", id, derr)
+	}
+	if derr != nil || sc.torn || sc.stale > 0 || retention != s.Retention() {
+		if err := r.compactStream(st); err != nil {
+			// Not fatal: the stream stays dirty and its next append retries.
+			r.opts.Metrics.persistError()
+			r.logger().Error("registry: compacting recovered stream", "id", id, "err", err)
+		}
+	}
+	return st, nil
 }
 
 // validateStreamState sanity-checks a fitted snapshot by materialising its

@@ -29,6 +29,7 @@ type Metrics struct {
 	fits           *obs.CounterVec   // fits_total{engine}
 	fitStage       *obs.HistogramVec // fit_stage_seconds{stage}
 	fitLMIters     *obs.Counter      // fit_lm_iterations_total
+	fitLMStalls    *obs.Counter      // fit_lm_stalls_total
 	shocksTried    *obs.Counter      // fit_shocks_tried_total
 	shocksAccepted *obs.Counter      // fit_shocks_accepted_total
 	fitKeywords    *obs.Counter      // fit_keywords_total
@@ -64,6 +65,10 @@ func NewMetricsOn(reg *obs.Registry) *Metrics {
 			obs.DefBuckets(), "stage"),
 		fitLMIters: reg.Counter("fit_lm_iterations_total",
 			"Levenberg-Marquardt iterations spent fitting."),
+		fitLMStalls: reg.Counter("fit_lm_stalls_total",
+			"Levenberg-Marquardt runs that stalled: damping hit its ceiling "+
+				"without an improving step. A rising rate is the early sign "+
+				"of a wrong Jacobian."),
 		shocksTried: reg.Counter("fit_shocks_tried_total",
 			"Shock candidates evaluated by the MDL gate."),
 		shocksAccepted: reg.Counter("fit_shocks_accepted_total",
@@ -119,6 +124,7 @@ func (m *Metrics) ObserveFitReport(rep *engine.FitReport) {
 		m.fitStage.With(stage).Observe(d.Seconds())
 	}
 	m.fitLMIters.Add(float64(rep.LMIterations))
+	m.fitLMStalls.Add(float64(rep.LMStalls))
 	m.shocksTried.Add(float64(rep.ShocksTried))
 	m.shocksAccepted.Add(float64(rep.ShocksAccepted))
 	m.fitKeywords.Add(float64(rep.Keywords))

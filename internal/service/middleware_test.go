@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"dspot/internal/engine"
 	"dspot/internal/obs"
 )
 
@@ -85,6 +86,17 @@ func TestMetricsAfterFit(t *testing.T) {
 		if !strings.Contains(logs, want) {
 			t.Errorf("log missing %q in:\n%s", want, logs)
 		}
+	}
+}
+
+// TestObserveFitReportCountsStalls pins the stall counter to the report:
+// a report with stalled LM runs moves fit_lm_stalls_total by its count.
+func TestObserveFitReportCountsStalls(t *testing.T) {
+	m := NewMetrics()
+	m.ObserveFitReport(&engine.FitReport{LMIterations: 40, LMStalls: 3})
+	m.ObserveFitReport(&engine.FitReport{LMIterations: 10, LMStalls: 2})
+	if got := m.fitLMStalls.Value(); got != 5 {
+		t.Fatalf("fit_lm_stalls_total = %v, want 5", got)
 	}
 }
 

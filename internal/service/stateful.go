@@ -100,6 +100,7 @@ type FitJobResult struct {
 	Costs          map[string]float64 `json:"costs,omitempty"`
 	Shocks         int                `json:"shocks"`
 	LMIterations   int                `json:"lm_iterations"`
+	LMStalls       int                `json:"lm_stalls"`
 	ShocksTried    int                `json:"shocks_tried"`
 	ShocksAccepted int                `json:"shocks_accepted"`
 	FitSeconds     float64            `json:"fit_seconds"`
@@ -262,6 +263,7 @@ func (s *Server) runFitJob(ctx context.Context, x *tensor.Tensor, opts engine.Fi
 		Costs:          costs,
 		Shocks:         len(eventsOf(m)),
 		LMIterations:   rep.LMIterations,
+		LMStalls:       rep.LMStalls,
 		ShocksTried:    rep.ShocksTried,
 		ShocksAccepted: rep.ShocksAccepted,
 		FitSeconds:     rep.TotalDuration().Seconds(),

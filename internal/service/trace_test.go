@@ -63,6 +63,7 @@ func tracedServer(t *testing.T) (*httptest.Server, *trace.Recorder, *syncBuffer)
 		Registry: reg,
 		Jobs:     engine,
 		Tracer:   tracer,
+		Metrics:  NewMetrics(),
 	}).Handler())
 	t.Cleanup(srv.Close)
 	return srv, rec, logs
@@ -213,6 +214,29 @@ func TestJobFitTraceEndToEnd(t *testing.T) {
 	}
 	if !finishedLine {
 		t.Errorf("no job-finished log line carries trace_id %s:\n%s", traceID, out)
+	}
+}
+
+// TestJobFitLMStallsMetric checks a traced fit job moves fit_lm_stalls_total
+// by exactly the stall count of its fit report (reported in the job result).
+func TestJobFitLMStallsMetric(t *testing.T) {
+	srv, _, _ := tracedServer(t)
+	if out := scrape(t, srv); !strings.Contains(out, "fit_lm_stalls_total 0\n") {
+		t.Fatalf("fit_lm_stalls_total not exported at zero before any fit:\n%s", out)
+	}
+	jobID, _ := submitFit(t, srv.URL, smallTensorCSV(t), "")
+	snap := waitJob(t, srv.URL, jobID)
+	if snap.State != jobs.StateDone {
+		t.Fatalf("job state %s (%s)", snap.State, snap.Error)
+	}
+	res, _ := snap.Result.(map[string]any)
+	stalls, ok := res["lm_stalls"].(float64)
+	if !ok {
+		t.Fatalf("job result carries no lm_stalls: %#v", snap.Result)
+	}
+	want := fmt.Sprintf("fit_lm_stalls_total %g\n", stalls)
+	if out := scrape(t, srv); !strings.Contains(out, want) {
+		t.Fatalf("metrics missing %q after a fit whose report counted %g stalls", want, stalls)
 	}
 }
 
